@@ -98,12 +98,18 @@ func newChain() chainDigest {
 
 // chainAbsorb feeds one record's authenticated content into the chain:
 // big-endian t followed by the memory hash — the same bytes the record
-// MAC covers (macInput), so chain and MAC commit to identical facts.
-func chainAbsorb(d chainDigest, t uint64, h []byte) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], t)
-	d.Write(b[:])
-	d.Write(h)
+// MAC covers (macInput), so chain and MAC commit to identical facts. The
+// bytes are staged in the caller's buf (at least 8 bytes) and, when the
+// hash fits, written at once; a local staging buffer would escape through
+// the digest's interface.
+func chainAbsorb(d chainDigest, buf []byte, t uint64, h []byte) {
+	binary.BigEndian.PutUint64(buf, t)
+	if 8+len(h) > len(buf) {
+		d.Write(buf[:8])
+		d.Write(h)
+		return
+	}
+	d.Write(buf[:8+copy(buf[8:], h)])
 }
 
 // marshalChain snapshots the digest's resumable state. The stdlib
@@ -279,8 +285,9 @@ func ChainOf(fromState []byte, recs []Record) ([]byte, error) {
 			return nil, fmt.Errorf("core: resume chain state: %w", err)
 		}
 	}
+	buf := make([]byte, 8+mac.MaxSize)
 	for i := len(recs) - 1; i >= 0; i-- {
-		chainAbsorb(d, recs[i].T, recs[i].Hash)
+		chainAbsorb(d, buf, recs[i].T, recs[i].Hash)
 	}
 	return marshalChain(d), nil
 }
@@ -395,13 +402,14 @@ func (v *Verifier) aggregateReport(recs []Record, now uint64, expectedK int, wm 
 	}
 
 	var rep Report
-	applied := false
+	reason := FallbackBadMAC
 	if macOK {
-		rep, applied = v.verifyAggregate(recs, now, expectedK, wm, agg)
+		rep, reason = v.verifyAggregate(recs, now, expectedK, wm, agg)
 	}
-	if !applied {
+	if reason != "" {
 		rep = v.deltaReport(recs, now, expectedK, wm)
 		rep.AggregateFallback = true
+		rep.AggregateFallbackReason = reason
 	}
 	if macOK {
 		// The head is authentic regardless of which tier produced the
@@ -411,18 +419,52 @@ func (v *Verifier) aggregateReport(recs []Record, now uint64, expectedK int, wm 
 	return rep
 }
 
+// FallbackReason classifies why an aggregate collection's verdict came
+// from the per-record audit tier instead of the O(1) chain walk.
+type FallbackReason string
+
+// Aggregate fallback reasons.
+const (
+	// FallbackBadMAC: the aggregate MAC over the chain head was absent or
+	// did not verify.
+	FallbackBadMAC FallbackReason = "bad_mac"
+	// FallbackBootstrap: no watermark, and the walk from genesis did not
+	// close, because the response is not the device's whole history.
+	FallbackBootstrap FallbackReason = "bootstrap"
+	// FallbackNoChainState: the watermark carries no saved chain state to
+	// resume the walk from.
+	FallbackNoChainState FallbackReason = "no_chain_state"
+	// FallbackAnchorMissing: the watermark record is not in the response.
+	FallbackAnchorMissing FallbackReason = "anchor_missing"
+	// FallbackAnchorModified: a record at the watermark's timestamp
+	// differs from the verified one.
+	FallbackAnchorModified FallbackReason = "anchor_modified"
+	// FallbackWalkDiverged: the walk from the saved state over the new
+	// records does not reach the shipped chain head.
+	FallbackWalkDiverged FallbackReason = "walk_diverged"
+)
+
+// FallbackReasons lists every FallbackReason, in exposition order.
+func FallbackReasons() []FallbackReason {
+	return []FallbackReason{
+		FallbackBootstrap, FallbackNoChainState, FallbackAnchorMissing,
+		FallbackAnchorModified, FallbackWalkDiverged, FallbackBadMAC,
+	}
+}
+
 // verifyAggregate is the hash-only fast path. It handles exactly the
 // clean cases — a zero watermark whose walk closes from genesis, or a
 // byte-identical anchor whose walk closes from the saved state — and
 // reports applied=false for everything else (missing/modified anchor,
-// missing saved state, walk divergence), leaving those records to the
-// audit tier so edge-case semantics can never drift between tiers.
-func (v *Verifier) verifyAggregate(recs []Record, now uint64, expectedK int, wm Watermark, agg AggregateEvidence) (Report, bool) {
+// missing saved state, walk divergence) with the reason, leaving those
+// records to the audit tier so edge-case semantics can never drift
+// between tiers. An empty reason means the fast path applied.
+func (v *Verifier) verifyAggregate(recs []Record, now uint64, expectedK int, wm Watermark, agg AggregateEvidence) (Report, FallbackReason) {
 	if wm.IsZero() {
 		// Bootstrap: the walk closes from genesis only when the response
 		// is the device's entire committed history.
 		if !walkChain(nil, recs, -1, agg.State) {
-			return Report{}, false
+			return Report{}, FallbackBootstrap
 		}
 		var rep Report
 		rep.AggregateApplied = true
@@ -436,11 +478,11 @@ func (v *Verifier) verifyAggregate(recs []Record, now uint64, expectedK int, wm 
 		v.gradeChainTrusted(recs, now, &rep)
 		v.checkChain(recs, &rep)
 		v.checkFreshness(recs, now, &rep)
-		return rep, true
+		return rep, ""
 	}
 
 	if len(wm.Chain) == 0 {
-		return Report{}, false // per-record watermark: no state to resume from
+		return Report{}, FallbackNoChainState // per-record watermark: no state to resume from
 	}
 	anchorIdx := -1
 	for i, r := range recs {
@@ -449,11 +491,14 @@ func (v *Verifier) verifyAggregate(recs []Record, now uint64, expectedK int, wm 
 			break
 		}
 	}
-	if anchorIdx < 0 || !wm.Matches(recs[anchorIdx]) {
-		return Report{}, false // WatermarkGap / WatermarkTampered: audit tier
+	if anchorIdx < 0 {
+		return Report{}, FallbackAnchorMissing // WatermarkGap: audit tier
+	}
+	if !wm.Matches(recs[anchorIdx]) {
+		return Report{}, FallbackAnchorModified // WatermarkTampered: audit tier
 	}
 	if !walkChain(wm.Chain, recs, anchorIdx, agg.State) {
-		return Report{}, false
+		return Report{}, FallbackWalkDiverged
 	}
 
 	// From here the flow mirrors verifyDelta's anchored case with the
@@ -492,7 +537,7 @@ func (v *Verifier) verifyAggregate(recs []Record, now uint64, expectedK int, wm 
 	v.gradeChainTrusted(verifySet, now, &rep)
 	v.checkChain(chain, &rep)
 	v.checkFreshness(recs, now, &rep)
-	return rep, true
+	return rep, ""
 }
 
 // gradeChainTrusted is checkRecords without the per-record MAC check:

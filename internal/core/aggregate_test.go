@@ -57,6 +57,7 @@ func mkAggFixture(t testing.TB, n, pre int, memory []byte) aggFixture {
 func stripAggFields(rep Report) Report {
 	rep.AggregateApplied = false
 	rep.AggregateFallback = false
+	rep.AggregateFallbackReason = ""
 	rep.ChainState = nil
 	return rep
 }
@@ -290,6 +291,67 @@ func TestAggregateTruncationFallsBack(t *testing.T) {
 	wantEquivalent(t, rep, delRep)
 	if delRep.ScheduleGaps == 0 {
 		t.Fatalf("audit tier missed the truncation gap: %+v", delRep)
+	}
+}
+
+// Every way the aggregate tier can fail to close names its reason, and a
+// round the fast path accepts names none.
+func TestAggregateFallbackReasons(t *testing.T) {
+	memory := []byte("clean image")
+	type round struct {
+		recs []Record
+		wm   Watermark
+		agg  AggregateEvidence
+	}
+	cases := []struct {
+		name string
+		mut  func(fx aggFixture) round
+		want FallbackReason
+	}{
+		{"clean", func(fx aggFixture) round { return round{fx.recs, fx.wm, fx.agg} }, ""},
+		{"bad_mac", func(fx aggFixture) round {
+			agg := fx.agg
+			agg.MAC = append([]byte(nil), agg.MAC...)
+			agg.MAC[0] ^= 1
+			return round{fx.recs, fx.wm, agg}
+		}, FallbackBadMAC},
+		{"bootstrap", func(fx aggFixture) round {
+			// No watermark, and the records are not the whole history.
+			return round{fx.recs, Watermark{}, fx.agg}
+		}, FallbackBootstrap},
+		{"no_chain_state", func(fx aggFixture) round {
+			wm := fx.wm
+			wm.Chain = nil
+			return round{fx.recs, wm, fx.agg}
+		}, FallbackNoChainState},
+		{"anchor_missing", func(fx aggFixture) round {
+			return round{fx.recs[:len(fx.recs)-1], fx.wm, fx.agg}
+		}, FallbackAnchorMissing},
+		{"anchor_modified", func(fx aggFixture) round {
+			recs := append([]Record(nil), fx.recs...)
+			a := &recs[len(recs)-1]
+			a.MAC = append([]byte(nil), a.MAC...)
+			a.MAC[0] ^= 1
+			return round{recs, fx.wm, fx.agg}
+		}, FallbackAnchorModified},
+		{"walk_diverged", func(fx aggFixture) round {
+			recs := append(append([]Record(nil), fx.recs[:1]...), fx.recs[2:]...)
+			return round{recs, fx.wm, fx.agg}
+		}, FallbackWalkDiverged},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fx := mkAggFixture(t, 4, 3, memory)
+			v := newTestVerifier(t, goldenFor(memory))
+			r := c.mut(fx)
+			rep, _ := v.VerifyDeltaAggregate(r.recs, fx.now, 0, r.wm, r.agg)
+			if rep.AggregateFallbackReason != c.want || rep.AggregateFallback != (c.want != "") {
+				t.Fatalf("fallback %v reason %q, want %q", rep.AggregateFallback, rep.AggregateFallbackReason, c.want)
+			}
+		})
+	}
+	if len(FallbackReasons()) != len(cases)-1 {
+		t.Fatalf("%d reasons listed, %d exercised", len(FallbackReasons()), len(cases)-1)
 	}
 }
 

@@ -54,10 +54,10 @@ func (b *Buffer) SlotForTime(t uint64, tm sim.Ticks) int {
 	return int((t / uint64(tm)) % uint64(b.n))
 }
 
-// Put stores the record in the given slot.
+// Put stores the record in the given slot, encoding it in place.
 func (b *Buffer) Put(slot int, r Record) {
 	b.check(slot)
-	copy(b.backing[slot*b.recSize:], r.Encode(b.alg))
+	r.encodeTo(b.alg, b.backing[slot*b.recSize:(slot+1)*b.recSize])
 }
 
 // Get reads the record in the given slot. The result is unauthenticated.

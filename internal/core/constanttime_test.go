@@ -133,8 +133,9 @@ func TestConstantTimeChainWalkEquivalence(t *testing.T) {
 		{T: 200, Hash: []byte("h2")},
 		{T: 100, Hash: []byte("h1")},
 	}
+	var buf [8]byte
 	for i := len(recs) - 1; i >= 0; i-- {
-		chainAbsorb(d, recs[i].T, recs[i].Hash)
+		chainAbsorb(d, buf[:], recs[i].T, recs[i].Hash)
 	}
 	head := marshalChain(d)
 	if !walkChain(nil, recs, -1, head) {

@@ -46,9 +46,12 @@ type VerifyMetrics struct {
 	WatermarkGaps, WatermarkTampered *obs.Counter
 
 	// AggregateRounds counts collections accepted by the O(1) aggregate
-	// tier; AggregateFallbacks counts rounds where aggregate evidence
-	// was present but the verdict came from the per-record audit tier.
-	AggregateRounds, AggregateFallbacks *obs.Counter
+	// tier.
+	AggregateRounds *obs.Counter
+	// AggregateFallbacks counts rounds where aggregate evidence was
+	// present but the verdict came from the per-record audit tier, by
+	// reason (one counter per FallbackReasons entry).
+	AggregateFallbacks map[FallbackReason]*obs.Counter
 }
 
 // NewVerifyMetrics registers the verification metric set on r across the
@@ -103,8 +106,12 @@ func NewVerifyMetrics(r *obs.Registry, shards int) *VerifyMetrics {
 		"Delta rounds whose already-verified overlap was modified in place.")
 	m.AggregateRounds = r.Counter("erasmus_verify_aggregate_rounds_total",
 		"Collections accepted by the aggregate tier (one MAC + chain walk).")
-	m.AggregateFallbacks = r.Counter("erasmus_verify_aggregate_fallbacks_total",
-		"Aggregate collections whose verdict came from the per-record audit tier.")
+	m.AggregateFallbacks = make(map[FallbackReason]*obs.Counter)
+	for _, reason := range FallbackReasons() {
+		m.AggregateFallbacks[reason] = r.Counter("erasmus_verify_aggregate_fallbacks_total",
+			"Aggregate collections whose verdict came from the per-record audit tier, by reason.",
+			obs.Label{Name: "reason", Value: string(reason)})
+	}
 	return m
 }
 
@@ -159,7 +166,7 @@ func (m *VerifyMetrics) observeReport(device string, secs float64, rep *Report) 
 		m.AggregateRounds.Inc()
 	}
 	if rep.AggregateFallback {
-		m.AggregateFallbacks.Inc()
+		m.AggregateFallbacks[rep.AggregateFallbackReason].Inc()
 	}
 	m.latency[mode][m.shardOf(device)].Observe(secs)
 	m.RecordsVerified.Add(uint64(len(rep.Records)))

@@ -93,8 +93,19 @@ type Prover struct {
 	// commits to history, the buffer merely caches the recent window.
 	chain chainDigest
 
+	// chainBuf stages one record's chain input: written through the
+	// digest's interface, a per-call buffer would escape to the heap.
+	chainBuf [8 + mac.MaxSize]byte
+
 	pendingEv *sim.Event
 	running   bool
+	// due is the RROC tick the pending measurement timer was armed for,
+	// armed the delay it was armed with (see fireTimer).
+	due     uint64
+	armed   sim.Ticks
+	onTimer func() // p.fireTimer, bound once
+	// spare holds finished measurement states for reuse.
+	spare []*measurement
 
 	lastTreq uint64 // anti-replay floor for on-demand requests
 
@@ -127,7 +138,9 @@ func NewProver(dev Device, cfg ProverConfig) (*Prover, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prover{dev: dev, cfg: cfg, buf: buf, lastSlot: -1, chain: newChain()}, nil
+	p := &Prover{dev: dev, cfg: cfg, buf: buf, lastSlot: -1, chain: newChain()}
+	p.onTimer = p.fireTimer
+	return p, nil
 }
 
 // Buffer exposes the rolling store (tamper experiments reach records
@@ -164,12 +177,31 @@ func (p *Prover) scheduleNext() {
 	if !p.running {
 		return
 	}
-	delay := p.cfg.Schedule.NextInterval(p.dev.RROC())
-	p.pendingEv = p.dev.SetOneShotTimer(delay, func() {
-		scheduledAt := p.dev.RROC()
-		p.beginMeasurement(scheduledAt, p.retryDeadline(scheduledAt))
-		p.scheduleNext()
-	})
+	now := p.dev.RROC()
+	p.armed = p.cfg.Schedule.NextInterval(now)
+	p.due = now + uint64(p.armed)
+	p.pendingEv = p.dev.SetOneShotTimer(p.armed, p.onTimer)
+}
+
+// fireTimer runs when the measurement timer expires. A coarse RROC can
+// read a few ns short of the tick the timer was armed for: the i.MX6
+// clock is rebuilt from 66 MHz GPT cycles and floors below engine time.
+// Measuring then would take the slot's measurement early, and the
+// schedule, asked again from that reading, would return a few-ns delay
+// and measure the same slot again, up to ~15 times per TM. So a timer
+// that fires short re-arms for the remainder, without consulting the
+// schedule again: an irregular schedule's draws are a sequence the
+// verifier replays. A shortfall of half the armed delay or more is no
+// rounding but a clock set back, and the measurement runs at once, with
+// the schedule re-derived from the new reading.
+func (p *Prover) fireTimer() {
+	scheduledAt := p.dev.RROC()
+	if scheduledAt < p.due && p.due-scheduledAt < uint64(p.armed)/2 {
+		p.pendingEv = p.dev.SetOneShotTimer(sim.Ticks(p.due-scheduledAt), p.onTimer)
+		return
+	}
+	p.beginMeasurement(scheduledAt, p.retryDeadline(scheduledAt))
+	p.scheduleNext()
 }
 
 // retryDeadline computes the lenient-window end (§5): w × TM after the
@@ -188,39 +220,72 @@ func (p *Prover) MeasureNow() {
 	p.beginMeasurement(p.dev.RROC(), 0)
 }
 
+// measurement is one self-measurement in flight, from its CPU
+// reservation to its commit. The prover recycles these states, and their
+// callbacks are bound once, so a steady measurement loop allocates none.
+type measurement struct {
+	p                    *Prover
+	occ                  *cpu.Occupation
+	scheduledAt, retryBy uint64
+	dur                  sim.Ticks
+	started              bool
+	rec                  Record
+	err                  error
+	step                 func()           // m.advance, bound once
+	compute              func(key []byte) // m.measure, bound once
+}
+
 // beginMeasurement queues the measurement behind any current CPU work,
 // computes the record inside the protected context at its start time, and
 // commits it at its end time — unless aborted, in which case the lenient
 // policy may schedule a retry before deadline.
 func (p *Prover) beginMeasurement(scheduledAt, retryBy uint64) {
+	var m *measurement
+	if n := len(p.spare); n > 0 {
+		m, p.spare = p.spare[n-1], p.spare[:n-1]
+	} else {
+		m = &measurement{p: p}
+		m.step, m.compute = m.advance, m.measure
+	}
+	m.scheduledAt, m.retryBy = scheduledAt, retryBy
+	m.dur = costmodel.MeasurementTime(p.dev.Arch(), p.cfg.Alg, len(p.dev.Memory()))
+	m.occ = p.dev.CPU().Occupy(cpu.KindMeasurement, m.dur)
 	e := p.dev.Engine()
-	dur := costmodel.MeasurementTime(p.dev.Arch(), p.cfg.Alg, len(p.dev.Memory()))
-	occ := p.dev.CPU().Occupy(cpu.KindMeasurement, dur)
+	e.At(m.occ.Start, m.step)
+	e.At(m.occ.End, m.step)
+}
 
-	var rec Record
-	var attErr error
-	e.At(occ.Start, func() {
-		if occ.Aborted {
-			return
+// advance runs at the measurement's start (compute the record) and at its
+// end (commit it), in that order: both events are queued together and
+// Start ≤ End.
+func (m *measurement) advance() {
+	p := m.p
+	if !m.started {
+		m.started = true
+		if !m.occ.Aborted {
+			m.err = p.dev.Attest(m.compute)
 		}
-		attErr = p.dev.Attest(func(key []byte) {
-			rec = ComputeRecord(p.cfg.Alg, key, p.dev.RROC(), p.dev.Memory())
-		})
-	})
-	e.At(occ.End, func() {
-		if occ.Aborted {
-			p.stats.Aborted++
-			p.emit(EventMeasurementAbort, 0, "aborted mid-measurement")
-			p.maybeRetry(scheduledAt, retryBy, dur)
-			return
-		}
-		if attErr != nil {
-			p.stats.Missed++
-			p.emit(EventWindowMissed, 0, attErr.Error())
-			return
-		}
-		p.commit(rec)
-	})
+		return
+	}
+	switch {
+	case m.occ.Aborted:
+		p.stats.Aborted++
+		p.emit(EventMeasurementAbort, 0, "aborted mid-measurement")
+		p.maybeRetry(m.scheduledAt, m.retryBy, m.dur)
+	case m.err != nil:
+		p.stats.Missed++
+		p.emit(EventWindowMissed, 0, m.err.Error())
+	default:
+		p.commit(m.rec)
+	}
+	*m = measurement{p: p, step: m.step, compute: m.compute}
+	p.spare = append(p.spare, m)
+}
+
+// measure is the protected attestation code's body.
+func (m *measurement) measure(key []byte) {
+	p := m.p
+	m.rec = ComputeRecord(p.cfg.Alg, key, p.dev.RROC(), p.dev.Memory())
 }
 
 // maybeRetry implements the §5 lenient policy: an aborted measurement is
@@ -265,11 +330,13 @@ func (p *Prover) commit(rec Record) {
 		p.seq++
 	}
 	p.buf.Put(slot, rec)
-	chainAbsorb(p.chain, rec.T, rec.Hash)
+	chainAbsorb(p.chain, p.chainBuf[:], rec.T, rec.Hash)
 	p.lastSlot = slot
 	p.lastT = rec.T
 	p.stats.Measurements++
-	p.emit(EventMeasurement, rec.T, fmt.Sprintf("slot %d", slot))
+	if p.cfg.OnEvent != nil {
+		p.emit(EventMeasurement, rec.T, fmt.Sprintf("slot %d", slot))
+	}
 }
 
 // CollectTiming itemizes the prover-side cost of serving one collection,

@@ -51,9 +51,15 @@ func macInput(t uint64, h []byte) []byte {
 // ComputeRecord produces the measurement of memory at time t under key.
 // This is what the protected attestation code runs; callers must invoke it
 // inside the device's Attest context so K never leaves protected execution.
+// Hash and MAC share one allocation; the MAC input is built on the stack.
 func ComputeRecord(alg mac.Algorithm, key []byte, t uint64, memory []byte) Record {
-	h := mac.HashSum(alg, memory)
-	return Record{T: t, Hash: h, MAC: mac.Sum(alg, key, macInput(t, h))}
+	hs := alg.HashSize()
+	fields := mac.AppendHashSum(make([]byte, 0, hs+alg.Size()), alg, memory)
+	var in [8 + mac.MaxSize]byte
+	binary.BigEndian.PutUint64(in[:8], t)
+	copy(in[8:], fields)
+	fields = mac.AppendSum(fields, alg, key, in[:8+hs])
+	return Record{T: t, Hash: fields[:hs:hs], MAC: fields[hs:]}
 }
 
 // VerifyMAC checks the record's authenticity under key.
@@ -71,14 +77,20 @@ func RecordSize(alg mac.Algorithm) int {
 // It panics if the hash or MAC lengths do not match the algorithm (records
 // built by ComputeRecord always match).
 func (r Record) Encode(alg mac.Algorithm) []byte {
+	out := make([]byte, RecordSize(alg))
+	r.encodeTo(alg, out)
+	return out
+}
+
+// encodeTo writes the record's fixed-size form into out, which must hold
+// RecordSize(alg) bytes. It panics as Encode does.
+func (r Record) encodeTo(alg mac.Algorithm, out []byte) {
 	if len(r.Hash) != alg.HashSize() || len(r.MAC) != alg.Size() {
 		panic(fmt.Sprintf("core: record field sizes %d/%d do not match %v", len(r.Hash), len(r.MAC), alg))
 	}
-	out := make([]byte, RecordSize(alg))
 	binary.BigEndian.PutUint64(out, r.T)
 	copy(out[8:], r.Hash)
 	copy(out[8+len(r.Hash):], r.MAC)
-	return out
 }
 
 // DecodeRecord parses a fixed-size encoded record. It performs no

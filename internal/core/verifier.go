@@ -128,6 +128,9 @@ type Report struct {
 	// or modified anchor, no saved chain state); the verdicts above came
 	// from the per-record audit tier on the same records.
 	AggregateFallback bool
+	// AggregateFallbackReason says why the aggregate tier did not close,
+	// one of the FallbackReason values; empty unless AggregateFallback.
+	AggregateFallbackReason FallbackReason
 	// ChainState is the prover's chain head, set only when the aggregate
 	// MAC authenticated it. NextWatermark copies it into the advancing
 	// watermark so the next round can resume the hash walk.

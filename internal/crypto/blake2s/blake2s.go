@@ -104,11 +104,31 @@ func New256(key []byte) hash.Hash {
 }
 
 // Sum256 returns the unkeyed BLAKE2s-256 digest of data.
-func Sum256(data []byte) [Size]byte {
-	d := New256(nil)
+func Sum256(data []byte) [Size]byte { return Sum256Keyed(nil, data) }
+
+// Sum256Keyed returns the 32-byte BLAKE2s digest of data, keyed when key
+// is non-empty: the one-shot form of New256(key) + Write + Sum. The
+// digest state lives on the caller's stack, so a call allocates nothing
+// and neither key nor data escapes. It panics on a key longer than
+// MaxKeySize, as New256 does.
+func Sum256Keyed(key, data []byte) [Size]byte {
+	if len(key) > MaxKeySize {
+		panic(ErrKeyTooLong)
+	}
+	var d digest
+	d.size = Size
+	d.h = iv
+	d.h[0] ^= uint32(Size) | uint32(len(key))<<8 | 1<<16 | 1<<24
+	if len(key) > 0 {
+		// The zero-padded key is the first block. Write compresses it
+		// only once more input follows; for an empty message it stays
+		// buffered and finish compresses it as the final block.
+		copy(d.buf[:], key)
+		d.buflen = BlockSize
+	}
 	d.Write(data)
 	var out [Size]byte
-	copy(out[:], d.Sum(nil))
+	d.finish(&out)
 	return out
 }
 
@@ -160,16 +180,22 @@ func (d *digest) Sum(b []byte) []byte {
 		copy(c.buf[:], c.key[:])
 		c.buflen = BlockSize
 	}
-	c.increment(uint32(c.buflen))
-	for i := c.buflen; i < BlockSize; i++ {
-		c.buf[i] = 0
-	}
-	c.compress(c.buf[:], true)
 	var out [Size]byte
-	for i := 0; i < 8; i++ {
-		binary.LittleEndian.PutUint32(out[4*i:], c.h[i])
-	}
+	c.finish(&out)
 	return append(b, out[:c.size]...)
+}
+
+// finish compresses the buffered tail as the final block and writes the
+// full 32-byte chaining value to out. It consumes d.
+func (d *digest) finish(out *[Size]byte) {
+	d.increment(uint32(d.buflen))
+	for i := d.buflen; i < BlockSize; i++ {
+		d.buf[i] = 0
+	}
+	d.compress(d.buf[:], true)
+	for i := 0; i < 8; i++ {
+		binary.LittleEndian.PutUint32(out[4*i:], d.h[i])
+	}
 }
 
 // increment adds n to the 64-bit byte counter.

@@ -280,6 +280,51 @@ func TestDigestSizesDiffer(t *testing.T) {
 	}
 }
 
+// The stack one-shot path must agree with the streaming digest for every
+// key length (including unkeyed) and for messages around every block
+// boundary, where the keyed-empty-message and full-final-block cases live.
+func TestSum256KeyedMatchesStreaming(t *testing.T) {
+	msg := make([]byte, 4*BlockSize+1)
+	for i := range msg {
+		msg[i] = byte(i*7 + 3)
+	}
+	key := make([]byte, MaxKeySize)
+	for i := range key {
+		key[i] = byte(0xa0 + i)
+	}
+	lengths := []int{0, 1, 31, 32, 55, 63, 64, 65, 127, 128, 129, 192, 3*BlockSize + 17, 4 * BlockSize, len(msg)}
+	for kl := 0; kl <= MaxKeySize; kl++ {
+		for _, ml := range lengths {
+			h := New256(key[:kl])
+			h.Write(msg[:ml])
+			want := h.Sum(nil)
+			got := Sum256Keyed(key[:kl], msg[:ml])
+			if !bytes.Equal(got[:], want) {
+				t.Fatalf("key %d B, message %d B: one-shot %x, streaming %x", kl, ml, got, want)
+			}
+		}
+	}
+	if got, want := Sum256([]byte("abc")), Sum256Keyed(nil, []byte("abc")); got != want {
+		t.Fatal("Sum256 differs from the unkeyed one-shot")
+	}
+}
+
+func TestSum256KeyedAllocatesNothing(t *testing.T) {
+	key, msg := make([]byte, 16), make([]byte, 300)
+	if n := testing.AllocsPerRun(20, func() { Sum256Keyed(key, msg) }); n != 0 {
+		t.Fatalf("Sum256Keyed allocates %v times", n)
+	}
+}
+
+func TestSum256KeyedRejectsLongKey(t *testing.T) {
+	defer func() {
+		if recover() != ErrKeyTooLong {
+			t.Fatal("oversized key did not panic with ErrKeyTooLong")
+		}
+	}()
+	Sum256Keyed(make([]byte, MaxKeySize+1), nil)
+}
+
 func BenchmarkSum256_1K(b *testing.B) { benchSize(b, 1024) }
 func BenchmarkSum256_8K(b *testing.B) { benchSize(b, 8192) }
 

@@ -116,17 +116,49 @@ func New(a Algorithm, key []byte) hash.Hash {
 
 // Sum computes the one-shot MAC of msg under key.
 func Sum(a Algorithm, key, msg []byte) []byte {
+	if a == KeyedBLAKE2s {
+		return AppendSum(make([]byte, 0, blake2s.Size), a, key, msg)
+	}
 	h := New(a, key)
 	h.Write(msg)
 	return h.Sum(nil)
 }
 
+// AppendSum appends the MAC of msg under key to dst and returns the
+// extended slice. Keyed BLAKE2s runs on a stack digest and allocates
+// nothing beyond growing dst. Neither msg nor dst escapes, so callers may
+// build both in stack buffers; the HMAC variants, which write through
+// hash.Hash, copy msg first to keep that promise.
+func AppendSum(dst []byte, a Algorithm, key, msg []byte) []byte {
+	if a != KeyedBLAKE2s {
+		h := New(a, key)
+		h.Write(append([]byte(nil), msg...))
+		return append(dst, h.Sum(nil)...)
+	}
+	var sum [blake2s.Size]byte
+	if len(key) > blake2s.MaxKeySize {
+		// Fold long keys exactly as New does.
+		folded := blake2s.Sum256(key)
+		sum = blake2s.Sum256Keyed(folded[:], msg)
+	} else {
+		sum = blake2s.Sum256Keyed(key, msg)
+	}
+	return append(dst, sum[:]...)
+}
+
 // Verify reports whether tag is the correct MAC of msg under key, in
 // constant time with respect to the tag comparison.
 func Verify(a Algorithm, key, msg, tag []byte) bool {
-	want := Sum(a, key, msg)
-	return ConstantTimeEqual(want, tag)
+	if a == KeyedBLAKE2s {
+		var buf [blake2s.Size]byte
+		return ConstantTimeEqual(AppendSum(buf[:0], a, key, msg), tag)
+	}
+	return ConstantTimeEqual(Sum(a, key, msg), tag)
 }
+
+// MaxSize is the largest MAC (and memory-hash) length of any supported
+// algorithm, for callers sizing stack buffers.
+const MaxSize = 32
 
 // ConstantTimeEqual reports whether a and b are equal in time that
 // depends on their lengths but not their contents. It is the comparison
@@ -170,7 +202,24 @@ func (a Algorithm) HashSize() int {
 
 // HashSum computes the one-shot memory digest H(data).
 func HashSum(a Algorithm, data []byte) []byte {
-	h := Hash(a)
-	h.Write(data)
-	return h.Sum(nil)
+	return AppendHashSum(make([]byte, 0, a.HashSize()), a, data)
+}
+
+// AppendHashSum appends H(data) to dst and returns the extended slice.
+// Every algorithm's hash runs on a stack digest, so a call allocates
+// nothing beyond growing dst.
+func AppendHashSum(dst []byte, a Algorithm, data []byte) []byte {
+	switch a {
+	case HMACSHA1:
+		sum := sha1.Sum(data)
+		return append(dst, sum[:]...)
+	case HMACSHA256:
+		sum := sha256.Sum256(data)
+		return append(dst, sum[:]...)
+	case KeyedBLAKE2s:
+		sum := blake2s.Sum256(data)
+		return append(dst, sum[:]...)
+	default:
+		panic(fmt.Sprintf("mac: unknown algorithm %d", int(a)))
+	}
 }

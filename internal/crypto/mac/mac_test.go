@@ -212,3 +212,62 @@ func TestPropertyHMACSHA256MatchesStdlib(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The append forms agree with the streaming instances for every
+// algorithm, key lengths from 1 to beyond the BLAKE2s fold threshold, and
+// messages of several blocks.
+func TestAppendFormsMatchStreaming(t *testing.T) {
+	msg := make([]byte, 200)
+	for i := range msg {
+		msg[i] = byte(i)
+	}
+	key := make([]byte, 40)
+	for i := range key {
+		key[i] = byte(0x55 ^ i)
+	}
+	prefix := []byte("prefix")
+	for _, a := range Algorithms() {
+		for _, kl := range []int{1, 16, 31, 32, 33, 40} {
+			for _, ml := range []int{0, 1, 8 + 32, 64, 65, 200} {
+				h := New(a, key[:kl])
+				h.Write(msg[:ml])
+				want := h.Sum(nil)
+				got := AppendSum(append([]byte(nil), prefix...), a, key[:kl], msg[:ml])
+				if !ConstantTimeEqual(got[:len(prefix)], prefix) || !ConstantTimeEqual(got[len(prefix):], want) {
+					t.Fatalf("%v key %d B message %d B: AppendSum mismatch", a, kl, ml)
+				}
+				if !ConstantTimeEqual(Sum(a, key[:kl], msg[:ml]), want) {
+					t.Fatalf("%v key %d B message %d B: Sum mismatch", a, kl, ml)
+				}
+			}
+		}
+		for _, ml := range []int{0, 1, 64, 200} {
+			h := Hash(a)
+			h.Write(msg[:ml])
+			if got := AppendHashSum(nil, a, msg[:ml]); !ConstantTimeEqual(got, h.Sum(nil)) {
+				t.Fatalf("%v message %d B: AppendHashSum mismatch", a, ml)
+			}
+		}
+	}
+}
+
+// Keyed BLAKE2s, the deployment MAC, runs on the stack: appending to a
+// buffer with room and verifying a tag allocate nothing.
+func TestBLAKE2sAppendFormsAllocateNothing(t *testing.T) {
+	key, msg := make([]byte, 32), make([]byte, 40)
+	dst := make([]byte, 0, 64)
+	tag := Sum(KeyedBLAKE2s, key, msg)
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"AppendSum", func() { AppendSum(dst[:0], KeyedBLAKE2s, key, msg) }},
+		{"AppendHashSum", func() { AppendHashSum(dst[:0], KeyedBLAKE2s, msg) }},
+		{"Verify", func() { Verify(KeyedBLAKE2s, key, msg, tag) }},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(20, c.f); n != 0 {
+			t.Errorf("%s allocates %v times", c.name, n)
+		}
+	}
+}

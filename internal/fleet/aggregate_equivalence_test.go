@@ -113,6 +113,7 @@ func runAggEqUDP(t *testing.T) ([]Alert, map[string][]verdictSummary) {
 	t.Helper()
 	proverEngine := sim.NewEngine()
 	provers, goldens := buildEqProvers(t, proverEngine)
+	serveStart := time.Now()
 	srv, err := udptransport.ServeFleet("127.0.0.1:0", proverEngine, alg)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,7 @@ func runAggEqUDP(t *testing.T) ([]Alert, map[string][]verdictSummary) {
 	}
 	registerEqFleet(t, mgr, goldens)
 	mgr.Start()
-	PumpRealTime(mgrEngine, eqHorizon, 2*time.Millisecond)
+	pumpFromServeStart(mgrEngine, serveStart, eqHorizon)
 	mgr.Stop()
 	mgr.Flush()
 	defer mgr.Close()

@@ -100,6 +100,7 @@ func runDeltaEqUDP(t *testing.T) ([]Alert, map[string][]verdictSummary) {
 	t.Helper()
 	proverEngine := sim.NewEngine()
 	provers, goldens := buildEqProvers(t, proverEngine)
+	serveStart := time.Now()
 	srv, err := udptransport.ServeFleet("127.0.0.1:0", proverEngine, alg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,7 @@ func runDeltaEqUDP(t *testing.T) ([]Alert, map[string][]verdictSummary) {
 	}
 	registerEqFleet(t, mgr, goldens)
 	mgr.Start()
-	PumpRealTime(mgrEngine, eqHorizon, 2*time.Millisecond)
+	pumpFromServeStart(mgrEngine, serveStart, eqHorizon)
 	mgr.Stop()
 	mgr.Flush()
 	defer mgr.Close()

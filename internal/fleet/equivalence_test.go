@@ -257,6 +257,7 @@ func runEqOverUDP(t *testing.T) []Alert {
 	t.Helper()
 	proverEngine := sim.NewEngine()
 	provers, goldens := buildEqProvers(t, proverEngine)
+	serveStart := time.Now()
 	srv, err := udptransport.ServeFleet("127.0.0.1:0", proverEngine, alg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +281,7 @@ func runEqOverUDP(t *testing.T) []Alert {
 	}
 	registerEqFleet(t, mgr, goldens)
 	mgr.Start()
-	PumpRealTime(mgrEngine, eqHorizon, 2*time.Millisecond)
+	pumpFromServeStart(mgrEngine, serveStart, eqHorizon)
 	mgr.Stop()
 	mgr.Flush()
 	defer mgr.Close()
@@ -334,4 +335,27 @@ func TestTransportEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(simAlerts, udpAlerts) {
 		t.Errorf("alert streams diverge across transports:\nsim: %+v\nudp: %+v", simAlerts, udpAlerts)
 	}
+}
+
+// eqProverLag is how far the UDP tests run the provers' clock behind the
+// manager's. The i.MX6 epoch is 20 ms past a multiple of eqTM, so in
+// engine time the measurement ticks (RROC ≡ eqPhase) fall 10 ms after
+// each collection tick and 50 ms before it, not the 30 ms either way the
+// scenario intends. Lagging the provers by the epoch's offset puts every
+// request back in the middle of that gap, so wall-clock jitter under 30 ms
+// cannot change which records a collection observes.
+const eqProverLag = sim.Ticks(imx6.DefaultEpoch % uint64(eqTM))
+
+// pumpFromServeStart drives a manager engine wall-paced to horizon on the
+// prover server's time base: serveStart, taken just before ServeFleet, is
+// the provers' virtual time zero and the manager's eqProverLag. Set-up
+// spent before the first pump (store opens and fsyncs, registration) then
+// does not make the manager lag the provers — a lag the verifier would
+// otherwise count against its TM/10 clock-skew tolerance as records "in
+// the future". Ticks that fell due during set-up fire at once.
+func pumpFromServeStart(e *sim.Engine, serveStart time.Time, horizon sim.Ticks) {
+	if now := eqProverLag + sim.Ticks(time.Since(serveStart)); now > e.Now() {
+		e.RunUntil(min(now, horizon))
+	}
+	PumpRealTime(e, horizon, 2*time.Millisecond)
 }

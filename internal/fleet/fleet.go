@@ -666,10 +666,18 @@ func (m *Manager) collect(d *device) {
 	launched := m.engine.Now()
 	now := m.clock()
 	// Warm-up leniency, measured from registration (not the engine
-	// epoch): a device younger than k×TM cannot have a full history yet,
-	// no matter when in the fleet's life it joined.
-	expected := k
-	if launched-d.registeredAt < sim.Ticks(k)*d.cfg.QoA.TM {
+	// epoch): demand only the measurements that must have committed by
+	// the time the request is served, no matter when in the fleet's life
+	// the device joined. A device registered at r has at least
+	// ⌊(L−r)/TM⌋ schedule ticks in (r, L], but the newest may fall an
+	// instant before L, its measurement (up to seconds on an MSP430) still
+	// running when the request arrives. The ticks at least one TM before
+	// L have committed, since a measurement ends within its period.
+	expected := int((launched-d.registeredAt)/d.cfg.QoA.TM) - 1
+	if expected > k {
+		expected = k
+	}
+	if expected < 0 {
 		expected = 0
 	}
 	// Delta mode: ask only for records since the device's watermark —
@@ -871,6 +879,7 @@ func (m *Manager) observeApply(j *pipeJob, outcome string) {
 			Delta:       j.delta,
 			Records:     len(j.res.Records),
 			Outcome:     outcome,
+			AggFallback: string(j.rep.AggregateFallbackReason),
 		}
 		if j.err != nil {
 			sp.Err = j.err.Error()

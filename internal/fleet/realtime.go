@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync"
 	"time"
 
 	"erasmus/internal/sim"
@@ -21,9 +22,16 @@ import (
 // crash point — instant, nothing is queued) and pump on to the original
 // horizon: virtual time continues where the predecessor stopped. horizon
 // stays absolute; a horizon at or before e.Now() returns immediately.
+func PumpRealTime(e *sim.Engine, horizon sim.Ticks, step time.Duration) {
+	PumpRealTimeLocked(e, horizon, step, nopLocker{})
+}
+
+// PumpRealTimeLocked is PumpRealTime holding mu while the engine runs and
+// releasing it while the pump sleeps, so other goroutines can read state
+// the engine owns (under mu) between steps.
 //
 //erasmus:wallpaced wall-pacing is this function's purpose: it maps one wall nanosecond to one virtual tick
-func PumpRealTime(e *sim.Engine, horizon sim.Ticks, step time.Duration) {
+func PumpRealTimeLocked(e *sim.Engine, horizon sim.Ticks, step time.Duration, mu sync.Locker) {
 	if step <= 0 {
 		step = 2 * time.Millisecond
 	}
@@ -37,12 +45,21 @@ func PumpRealTime(e *sim.Engine, horizon sim.Ticks, step time.Duration) {
 		if now >= horizon {
 			break
 		}
+		mu.Lock()
 		e.RunUntil(now)
+		mu.Unlock()
 		if remaining := time.Duration(horizon - now); remaining < step {
 			time.Sleep(remaining)
 		} else {
 			time.Sleep(step)
 		}
 	}
+	mu.Lock()
 	e.RunUntil(horizon)
+	mu.Unlock()
 }
+
+type nopLocker struct{}
+
+func (nopLocker) Lock()   {}
+func (nopLocker) Unlock() {}

@@ -157,6 +157,7 @@ func TestKillAndResumeUDP(t *testing.T) {
 	dir := t.TempDir()
 	proverEngine := sim.NewEngine()
 	provers, goldens := buildEqProvers(t, proverEngine)
+	serveStart := time.Now()
 	srv, err := udptransport.ServeFleet("127.0.0.1:0", proverEngine, alg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func TestKillAndResumeUDP(t *testing.T) {
 	}
 	registerEqFleet(t, mgr, goldens)
 	mgr.Start()
-	PumpRealTime(mgrEngine, resumeAt, 2*time.Millisecond)
+	pumpFromServeStart(mgrEngine, serveStart, resumeAt)
 	mgr.Stop()
 	mgr.Flush()
 	if err := mgr.Close(); err != nil {
@@ -229,7 +230,7 @@ func TestKillAndResumeUDP(t *testing.T) {
 	}
 	registerEqFleet(t, mgr2, goldens)
 	mgr2.Start()
-	PumpRealTime(mgrEngine2, eqHorizon, 2*time.Millisecond)
+	pumpFromServeStart(mgrEngine2, serveStart, eqHorizon)
 	mgr2.Stop()
 	mgr2.Flush()
 	defer mgr2.Close()

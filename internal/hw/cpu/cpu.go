@@ -4,9 +4,11 @@
 //
 // Both platforms have a single CPU: a running self-measurement occupies it
 // for the full modeled duration (the availability concern of §5), and
-// application tasks contend with measurements for the core. The tracker
-// records every occupation interval so experiments can compute busy
-// fractions, deadline misses and measurement/abort statistics.
+// application tasks contend with measurements for the core. On request
+// (EnableHistory) the tracker records every occupation interval so
+// experiments can compute busy fractions and concurrency; by default it
+// keeps only the running occupation, so a long-lived device holds O(1)
+// state however many measurements it takes.
 package cpu
 
 import (
@@ -39,19 +41,26 @@ func (o Occupation) Duration() sim.Ticks { return o.End - o.Start }
 
 // Tracker serializes occupations on a single core.
 type Tracker struct {
-	engine *sim.Engine
-	freeAt sim.Ticks
-	log    []*Occupation
-	active *Occupation // last occupation if still running
+	engine  *sim.Engine
+	freeAt  sim.Ticks
+	active  *Occupation // last occupation if still running
+	history bool
+	log     []Occupation // every occupation, oldest first, when history is on
 }
 
-// NewTracker creates a tracker bound to the simulation engine.
+// NewTracker creates a tracker bound to the simulation engine. It keeps no
+// occupation history until EnableHistory is called.
 func NewTracker(e *sim.Engine) *Tracker {
 	if e == nil {
 		panic("cpu: nil engine")
 	}
 	return &Tracker{engine: e}
 }
+
+// EnableHistory makes the tracker record every occupation from now on, for
+// Log and BusyTime. Call it before the first Occupy to cover the device's
+// whole life.
+func (t *Tracker) EnableHistory() { t.history = true }
 
 // Busy reports whether the CPU is occupied right now.
 func (t *Tracker) Busy() bool { return t.engine.Now() < t.freeAt }
@@ -76,7 +85,9 @@ func (t *Tracker) Occupy(kind Kind, dur sim.Ticks) *Occupation {
 	start := t.FreeAt()
 	occ := &Occupation{Kind: kind, Start: start, End: start + dur}
 	t.freeAt = occ.End
-	t.log = append(t.log, occ)
+	if t.history {
+		t.log = append(t.log, *occ)
+	}
 	t.active = occ
 	return occ
 }
@@ -91,6 +102,10 @@ func (t *Tracker) Abort() bool {
 	}
 	t.active.End = now
 	t.active.Aborted = true
+	if t.history {
+		// The active occupation is always the newest one logged.
+		t.log[len(t.log)-1] = *t.active
+	}
 	t.freeAt = now
 	t.active = nil
 	return true
@@ -105,18 +120,19 @@ func (t *Tracker) ActiveKind() Kind {
 	return ""
 }
 
-// Log returns a copy of all recorded occupations.
+// Log returns a copy of all recorded occupations. It panics unless
+// EnableHistory was called: an empty log would be indistinguishable from
+// an idle core.
 func (t *Tracker) Log() []Occupation {
-	out := make([]Occupation, len(t.log))
-	for i, o := range t.log {
-		out[i] = *o
-	}
-	return out
+	t.mustHaveHistory()
+	return append([]Occupation(nil), t.log...)
 }
 
 // BusyTime sums occupied time of the given kind within [from, to),
 // clipping intervals at the window edges. An empty kind sums everything.
+// Like Log, it needs EnableHistory.
 func (t *Tracker) BusyTime(kind Kind, from, to sim.Ticks) sim.Ticks {
+	t.mustHaveHistory()
 	var total sim.Ticks
 	for _, o := range t.log {
 		if kind != "" && o.Kind != kind {
@@ -134,6 +150,12 @@ func (t *Tracker) BusyTime(kind Kind, from, to sim.Ticks) sim.Ticks {
 		}
 	}
 	return total
+}
+
+func (t *Tracker) mustHaveHistory() {
+	if !t.history {
+		panic("cpu: occupation history is off; call EnableHistory before the first Occupy")
+	}
 }
 
 // BusyFraction returns BusyTime / window length.

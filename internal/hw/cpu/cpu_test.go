@@ -78,6 +78,7 @@ func TestNilEnginePanics(t *testing.T) {
 func TestAbort(t *testing.T) {
 	e := sim.NewEngine()
 	tr := NewTracker(e)
+	tr.EnableHistory()
 	tr.Occupy(KindMeasurement, 100)
 	e.RunUntil(40)
 	if !tr.Abort() {
@@ -125,6 +126,7 @@ func TestActiveKind(t *testing.T) {
 func TestBusyTimeWindowClipping(t *testing.T) {
 	e := sim.NewEngine()
 	tr := NewTracker(e)
+	tr.EnableHistory()
 	tr.Occupy(KindMeasurement, 100) // [0,100)
 	e.RunUntil(100)
 	tr.Occupy(KindTask, 50) // [100,150)
@@ -145,6 +147,7 @@ func TestBusyTimeWindowClipping(t *testing.T) {
 func TestLogIsACopy(t *testing.T) {
 	e := sim.NewEngine()
 	tr := NewTracker(e)
+	tr.EnableHistory()
 	tr.Occupy(KindTask, 10)
 	log := tr.Log()
 	log[0].Kind = "tampered"
@@ -190,6 +193,7 @@ func TestPropertyNoOverlap(t *testing.T) {
 	f := func(durs []uint8, advances []uint8) bool {
 		e := sim.NewEngine()
 		tr := NewTracker(e)
+		tr.EnableHistory()
 		for i, d := range durs {
 			tr.Occupy(KindTask, sim.Ticks(d))
 			if i < len(advances) {
@@ -215,6 +219,7 @@ func TestPropertyBusyTimeConservation(t *testing.T) {
 	f := func(durs []uint8) bool {
 		e := sim.NewEngine()
 		tr := NewTracker(e)
+		tr.EnableHistory()
 		var want sim.Ticks
 		for _, d := range durs {
 			occ := tr.Occupy(KindTask, sim.Ticks(d))
@@ -224,5 +229,56 @@ func TestPropertyBusyTimeConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// History is opt-in: a default tracker keeps only the running occupation,
+// and asking it for history fails loudly instead of reporting an idle core.
+func TestHistoryOffByDefault(t *testing.T) {
+	e := sim.NewEngine()
+	tr := NewTracker(e)
+	for i := 0; i < 100; i++ {
+		tr.Occupy(KindMeasurement, 10)
+	}
+	if len(tr.log) != 0 {
+		t.Fatalf("default tracker retained %d occupations", len(tr.log))
+	}
+	reads := []struct {
+		name string
+		read func()
+	}{
+		{"Log", func() { tr.Log() }},
+		{"BusyTime", func() { tr.BusyTime("", 0, sim.MaxTicks) }},
+	}
+	for _, r := range reads {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s without history did not panic", r.name)
+				}
+			}()
+			r.read()
+		}()
+	}
+}
+
+// An abort of the running occupation is reflected both in the caller's
+// handle and in the recorded history.
+func TestAbortUpdatesHistory(t *testing.T) {
+	e := sim.NewEngine()
+	tr := NewTracker(e)
+	tr.EnableHistory()
+	tr.Occupy(KindTask, 10)
+	occ := tr.Occupy(KindMeasurement, 100)
+	e.RunUntil(50)
+	if !tr.Abort() {
+		t.Fatal("Abort returned false")
+	}
+	log := tr.Log()
+	if !occ.Aborted || occ.End != 50 {
+		t.Fatalf("handle = %+v, want aborted at 50", *occ)
+	}
+	if len(log) != 2 || log[0].Aborted || log[1] != *occ {
+		t.Fatalf("log = %+v, want the task then %+v", log, *occ)
 	}
 }

@@ -5,11 +5,13 @@
 // The pieces the paper describes are all present:
 //
 //   - RROC built in software (after Brasser et al.): the General Purpose
-//     Timer (GPT) supplies a 32-bit up-counter; when it wraps, an interrupt
-//     is handled by clock code in PrAtt, which updates the high-order bits.
-//     The full clock value combines those bits with the live GPT counter.
-//     Read-only-ness is enforced by seL4: PrAtt holds the only write
-//     capability to the RROC components.
+//     Timer (GPT) supplies a 32-bit up-counter; when it wraps, clock code
+//     in PrAtt updates the high-order bits. The full clock value combines
+//     those bits with the live GPT counter. The model derives the
+//     high-order bits from the rollover count when the clock is read, so
+//     the wrap interrupt costs no simulation event. Read-only-ness is
+//     enforced by seL4: PrAtt holds the only write capability to the RROC
+//     components.
 //   - The Enhanced Periodic Interrupt Timer (EPIT) schedules execution of
 //     the ERASMUS measurement code.
 //   - K and the attestation code live in ordinary RAM but are isolated by
@@ -83,15 +85,14 @@ type Device struct {
 	epoch         uint64
 	clockOffset   int64
 	writableClock bool
-	wrapCount     uint64 // high-order clock bits, maintained by PrAtt
-	stopWrap      func()
 
 	inAttestation bool
+	keyCopy       []byte // Attest's per-call copy of K; zeroed on exit
 }
 
 // New boots a board: secure boot of the kernel + PrAtt, region setup with
-// exclusive PrAtt capabilities, GPT wrap-interrupt installation, and an
-// untrusted application process for the normal world.
+// exclusive PrAtt capabilities, and an untrusted application process for
+// the normal world.
 func New(cfg Config) (*Device, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("imx6: Config.Engine is required")
@@ -128,6 +129,7 @@ func New(cfg Config) (*Device, error) {
 		store:         make([]byte, cfg.StoreSize),
 		epoch:         epoch,
 		writableClock: cfg.WritableClock,
+		keyCopy:       make([]byte, len(cfg.Key)),
 	}
 
 	prAtt := kern.PrAtt()
@@ -146,23 +148,13 @@ func New(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Install the GPT wrap interrupt: PrAtt's clock code updates the
-	// high-order bits whenever the 32-bit counter rolls over.
-	wrapPeriod := cyclesToTicks(gptWrapCycles)
-	d.stopWrap = cfg.Engine.Ticker(cfg.Engine.Now()+wrapPeriod, wrapPeriod, func() {
-		d.wrapCount++
-	})
 	return d, nil
 }
 
-// Close stops the device's background wrap-interrupt ticker.
-func (d *Device) Close() {
-	if d.stopWrap != nil {
-		d.stopWrap()
-		d.stopWrap = nil
-	}
-}
+// Close releases the board. The device schedules no background events
+// (the GPT wrap is derived when the clock is read), so there is nothing to
+// stop; Close is kept so callers can release any device uniformly.
+func (d *Device) Close() {}
 
 // Arch identifies the platform for the cost model.
 func (d *Device) Arch() costmodel.Arch { return costmodel.IMX6 }
@@ -211,18 +203,14 @@ func cyclesToTicks(cycles uint64) sim.Ticks {
 }
 
 // RROC returns the software-constructed clock in nanoseconds since epoch:
-// high-order bits maintained by PrAtt's wrap handler, low bits read live
-// from the GPT. If a wrap is pending at this exact instant (interrupt not
-// yet delivered), the driver compensates using the GPT rollover status
-// bit, as the real clock code must.
+// high-order bits counting the GPT's rollovers, low bits read live from
+// the GPT. On the board PrAtt's wrap handler maintains the high bits and
+// the clock code adds a rollover whose interrupt is still pending; the model
+// computes the same count directly from the free-running cycle total, so
+// no wrap is ever missed or counted early.
 func (d *Device) RROC() uint64 {
-	cyc := d.gptCycles()
-	low := cyc % gptWrapCycles
-	high := d.wrapCount
-	if pending := cyc / gptWrapCycles; pending > high {
-		high = pending
-	}
-	ns := cyclesToTicks(high*gptWrapCycles + low)
+	// high×2³² + low is exactly the free-running cycle total.
+	ns := cyclesToTicks(d.gptCycles())
 	return uint64(int64(d.epoch) + int64(ns) + d.clockOffset)
 }
 
@@ -265,11 +253,11 @@ func (d *Device) Attest(fn func(key []byte)) error {
 			"key region no longer exclusive to PrAtt")
 	}
 	d.inAttestation = true
-	k := append([]byte(nil), region.Data...)
+	// The copy lives in a per-device buffer, which is safe to reuse
+	// because attestation is not re-entrant.
+	k := d.keyCopy[:copy(d.keyCopy, region.Data)]
 	defer func() {
-		for i := range k {
-			k[i] = 0
-		}
+		clear(k)
 		d.inAttestation = false
 	}()
 	fn(k)

@@ -64,6 +64,8 @@ type Device struct {
 	mem   []byte // attested image (program + data), writable by anyone
 	store []byte // measurement store, writable by anyone
 	key   []byte // in ROM, guarded by access rules
+	// keyCopy receives Attest's per-call copy of K; zeroed on exit.
+	keyCopy []byte
 
 	epoch         uint64
 	clockOffset   int64 // nonzero only via the WritableClock ablation
@@ -99,6 +101,7 @@ func New(cfg Config) (*Device, error) {
 		mem:           make([]byte, cfg.MemorySize),
 		store:         make([]byte, cfg.StoreSize),
 		key:           append([]byte(nil), cfg.Key...),
+		keyCopy:       make([]byte, len(cfg.Key)),
 		epoch:         epoch,
 		writableClock: cfg.WritableClock,
 	}, nil
@@ -163,17 +166,17 @@ var ErrAtomicity = errors.New("mcu: attestation code is not re-entrant")
 // Attest executes fn as the ROM-resident attestation code: atomically,
 // with interrupts disabled and with access to K. The key slice passed to
 // fn is a copy that is zeroed on exit, modeling SMART's post-execution
-// memory cleanup.
+// memory cleanup. The copy lives in a per-device buffer, which is safe to
+// reuse because attestation is not re-entrant.
 func (d *Device) Attest(fn func(key []byte)) error {
 	if d.inAttestation {
 		return d.viol.Record(cpu.ViolationAtomicity, ErrAtomicity.Error())
 	}
 	d.inAttestation = true
-	k := append([]byte(nil), d.key...)
+	k := d.keyCopy
+	copy(k, d.key)
 	defer func() {
-		for i := range k {
-			k[i] = 0
-		}
+		clear(k)
 		d.inAttestation = false
 	}()
 	fn(k)

@@ -59,6 +59,21 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []metric
 	index   map[string]int
+	hooks   []func()
+}
+
+// OnScrape registers fn to run at the start of every WritePrometheus,
+// before any value is read: the place to bring counters that mirror
+// state owned elsewhere up to date, so that state's hot path never
+// touches the registry. fn may run concurrently with itself when scrapes
+// overlap.
+func (r *Registry) OnScrape(fn func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.hooks = append(r.hooks, fn)
+	r.mu.Unlock()
 }
 
 // NewRegistry builds an empty metrics registry.
@@ -286,6 +301,12 @@ func strconv(v float64) string {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
+	}
+	r.mu.Lock()
+	hooks := append([]func(){}, r.hooks...)
+	r.mu.Unlock()
+	for _, fn := range hooks {
+		fn()
 	}
 	r.mu.Lock()
 	metrics := append([]metric(nil), r.metrics...)

@@ -33,6 +33,9 @@ type Span struct {
 	Outcome string `json:"outcome"`
 	// Err carries the transport error for failed collections.
 	Err string `json:"err,omitempty"`
+	// AggFallback is why an aggregate collection's verdict came from the
+	// per-record audit tier (core.FallbackReason); empty otherwise.
+	AggFallback string `json:"agg_fallback,omitempty"`
 }
 
 // Tracer is a bounded ring buffer of collection spans: the most recent

@@ -3,6 +3,7 @@ package popsim
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"erasmus/internal/core"
@@ -358,6 +359,11 @@ type ManagedRun struct {
 	srv     *udptransport.Server // "udp" only
 	devices []*managedDevice
 
+	// engineMu is held while the driving goroutine advances a sim-
+	// transport engine, so scrape hooks can read prover state between
+	// steps (see withProvers).
+	engineMu sync.Mutex
+
 	res          *ManagedResult
 	runStart     time.Time
 	deltaRounds  int
@@ -369,8 +375,6 @@ type ManagedRun struct {
 // StartManaged builds a managed scenario and starts its collection
 // schedule. The caller must finish with Finish (or drive with RunManaged's
 // sequence) to release sockets and the state store.
-//
-//erasmus:wallpaced BuildWall and the run-wall anchor time real setup; device plans derive from seeded streams only
 func StartManaged(cfg ManagedConfig) (*ManagedRun, error) {
 	pc, err := cfg.fill()
 	if err != nil {
@@ -380,6 +384,15 @@ func StartManaged(cfg ManagedConfig) (*ManagedRun, error) {
 	for id := range plans {
 		plans[id] = planDevice(pc, id)
 	}
+	return startManaged(cfg, plans)
+}
+
+// startManaged is StartManaged over given device plans; cfg must already
+// be filled.
+//
+//erasmus:wallpaced BuildWall and the run-wall anchor time real setup; device plans derive from seeded streams only
+func startManaged(cfg ManagedConfig, plans []devicePlan) (*ManagedRun, error) {
+	var err error
 	buildStart := time.Now()
 	r := &ManagedRun{cfg: &cfg}
 	if cfg.Transport == "udp" {
@@ -396,6 +409,7 @@ func StartManaged(cfg ManagedConfig) (*ManagedRun, error) {
 			"Prover devices simulated by the population run.").Set(int64(cfg.Population))
 		r.vt = cfg.Obs.Gauge("erasmus_popsim_virtual_time_ns",
 			"Virtual time of the population engine.")
+		r.registerProverMetrics(cfg.Obs)
 	}
 	if cfg.Events != nil && r.st != nil {
 		// Whatever opening the state directory had to say — replay
@@ -439,7 +453,9 @@ func (r *ManagedRun) RunToHorizon() {
 	if r.cfg.Transport == "udp" {
 		fleet.PumpRealTime(r.engine, r.cfg.Duration, 2*time.Millisecond)
 	} else if r.engine.Now() < r.cfg.Duration {
+		r.engineMu.Lock()
 		r.engine.RunUntil(r.cfg.Duration)
+		r.engineMu.Unlock()
 	}
 	r.vt.Set(int64(r.engine.Now()))
 }
@@ -449,7 +465,7 @@ func (r *ManagedRun) RunToHorizon() {
 // sim-transport fleet behaves like a live deployment while HTTP handlers
 // read the manager between steps. Returns when the engine reaches until.
 func (r *ManagedRun) Pump(until sim.Ticks, step time.Duration) {
-	fleet.PumpRealTime(r.engine, until, step)
+	fleet.PumpRealTimeLocked(r.engine, until, step, &r.engineMu)
 	r.vt.Set(int64(r.engine.Now()))
 }
 
@@ -465,7 +481,9 @@ func (r *ManagedRun) Finish() (*ManagedResult, error) {
 		// out in Flush: with the tickers stopped, run the engine through
 		// the session client's full retry budget plus round-trip latency,
 		// then wait for the last verdicts to be applied.
+		r.engineMu.Lock()
 		r.engine.RunUntil(r.engine.Now() + 2*sim.Second + 2*r.cfg.Latency)
+		r.engineMu.Unlock()
 	}
 	r.mgr.Flush()
 	r.res.RunWall = time.Since(r.runStart)

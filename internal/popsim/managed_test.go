@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"erasmus/internal/core"
+	"erasmus/internal/costmodel"
 	"erasmus/internal/fleet"
 	"erasmus/internal/sim"
 )
@@ -219,5 +220,51 @@ func TestManagedPopulationDeltaEquivalence(t *testing.T) {
 		full.InfectionsDetected != incr.InfectionsDetected ||
 		full.FalseInfections != incr.FalseInfections {
 		t.Fatalf("end states diverge:\nfull:  %+v\ndelta: %+v", full, incr)
+	}
+}
+
+// Regression: on the benchmark's mixed durable scenario, seed 202 plans
+// device 4128 as a late-joining MSP430 whose fourth measurement tick falls
+// just before its first collection, at registration + 4·TM. That
+// measurement takes seconds, so it has not committed when the request is
+// served, and a warm-up rule demanding all k = 4 records raised a false
+// "history has 3 records, schedule requires 4" tamper.
+func TestLateJoinerWarmupCountsOnlyCommittedMeasurements(t *testing.T) {
+	cfg := ManagedConfig{
+		Population: 5000, Seed: 202, Transport: "sim",
+		QoA:              core.QoA{TM: 10 * sim.Minute, TC: 40 * sim.Minute},
+		Duration:         3 * sim.Hour,
+		IMX6Fraction:     0.25,
+		Latency:          10 * sim.Millisecond,
+		LateJoinFraction: 0.1,
+		Wave:             WaveConfig{Coverage: 0.3, Start: sim.Hour, Spread: 30 * sim.Minute},
+		Aggregate:        true,
+	}
+	pc, err := cfg.fill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := planDevice(pc, 4128)
+	tm := cfg.QoA.TM
+	// The newest measurement tick (RROC ≡ mphase mod TM, in engine time)
+	// at or before the first collection, join + TC.
+	offset := sim.Ticks((uint64(plan.mphase) + uint64(tm) - verifierEpoch%uint64(tm)) % uint64(tm))
+	lastTick := (plan.join+cfg.QoA.TC-offset)/tm*tm + offset
+	dur := costmodel.MeasurementTime(costmodel.MSP430, cfg.Alg, cfg.MSP430Memory)
+	if plan.imx6 || plan.join == 0 || plan.join+cfg.QoA.TC-lastTick >= dur {
+		t.Fatalf("plan drifted from the regression case: %+v (measurement %v)", plan, dur)
+	}
+
+	run, err := startManaged(cfg, []devicePlan{plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.RunToHorizon()
+	res, err := run.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AlertCounts[fleet.AlertTamper] != 0 {
+		t.Fatalf("false tamper on a clean late joiner: %v", res.Alerts)
 	}
 }

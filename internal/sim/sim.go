@@ -129,10 +129,17 @@ func (e *Engine) At(when Ticks, fn func()) *Event {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", when, e.now))
 	}
-	ev := &Event{when: when, seq: e.seq, fn: fn}
+	ev := &Event{fn: fn}
+	e.push(ev, when)
+	return ev
+}
+
+// push queues ev at when with the next FIFO sequence number. ev must not
+// be queued already.
+func (e *Engine) push(ev *Event, when Ticks) {
+	ev.when, ev.seq = when, e.seq
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return ev
 }
 
 // After schedules fn delay ticks from now.
@@ -198,27 +205,26 @@ func (e *Engine) peek() *Event {
 }
 
 // Ticker fires fn every interval starting at start (absolute). It returns a
-// stop function. Interval must be positive.
+// stop function. Interval must be positive. A ticker allocates its closure
+// and its event once and re-queues that event for every tick.
 func (e *Engine) Ticker(start, interval Ticks, fn func()) (stop func()) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker interval %v", interval))
 	}
-	stopped := false
-	var schedule func(at Ticks)
-	schedule = func(at Ticks) {
-		e.At(at, func() {
-			if stopped {
-				return
-			}
-			fn()
-			if !stopped {
-				schedule(e.now + interval)
-			}
-		})
-	}
 	if start < e.now {
 		start = e.now
 	}
-	schedule(start)
+	stopped := false
+	ev := &Event{}
+	ev.fn = func() {
+		if stopped {
+			return
+		}
+		fn()
+		if !stopped {
+			e.push(ev, e.now+interval)
+		}
+	}
+	e.push(ev, start)
 	return func() { stopped = true }
 }

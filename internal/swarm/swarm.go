@@ -192,6 +192,9 @@ func New(cfg Config) (*Swarm, error) {
 		if err != nil {
 			return nil, err
 		}
+		// MaxConcurrentMeasuring sweeps every node's measurement
+		// intervals, so swarm nodes keep their CPU history.
+		dev.CPU().EnableHistory()
 		// Staggering assigns node i the schedule phase i×TM/N, so at most
 		// ⌈N×measurement/TM⌉ nodes measure concurrently (§6).
 		phase := sim.Ticks(0)

@@ -176,6 +176,14 @@ func (s *Server) Unhost(id string) {
 	delete(s.provers, id)
 }
 
+// Do runs fn with the server's engine and hosted provers locked: the way
+// to read prover state while the server is serving.
+func (s *Server) Do(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn()
+}
+
 // Addr returns the bound address (useful with port 0).
 func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 

@@ -453,13 +453,19 @@ func TestCollectDeltaAggregateOverRealUDP(t *testing.T) {
 	srv, _ := startServer(t)
 	c := dialServer(t, srv)
 
-	time.Sleep(250 * time.Millisecond)
+	// Collect while the device holds fewer than k = 8 records: past that
+	// the response is the newest eight while the chain head covers them
+	// all. Measurements start every 30 ms from 10 ms after boot and take
+	// ~2 ms, so this settle leaves ~75 ms of scheduling slack before a
+	// ninth record could commit.
+	const settle = 175 * time.Millisecond
+	time.Sleep(settle)
 	recs, state, aggMAC, err := c.CollectDeltaAggregate(0, 41, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) < 3 {
-		t.Fatalf("got %d records after 250ms at TM=30ms", len(recs))
+		t.Fatalf("got %d records after %v at TM=30ms", len(recs), settle)
 	}
 	if len(state) == 0 || len(aggMAC) == 0 {
 		t.Fatalf("aggregate evidence missing: state=%d MAC=%d bytes", len(state), len(aggMAC))
